@@ -395,6 +395,32 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	}
 }
 
+func BenchmarkSimProcSwitch(b *testing.B) {
+	// Two processes ping-pong a message, so every Recv blocks and every
+	// delivery resumes the other process: each operation is a real
+	// kernel resume and yield, unlike BenchmarkSimKernelEvents, whose
+	// lone sleeper always takes Sleep's inline fast path.
+	var msg any = struct{}{}
+	k := sim.New()
+	var ping, pong *sim.Proc
+	ping = k.Spawn("ping", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Send(pong, msg, 1e-6)
+			p.Recv()
+		}
+	})
+	pong = k.Spawn("pong", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Send(ping, p.Recv(), 1e-6)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkLRUCache(b *testing.B) {
 	f := field.DefaultABC()
 	d := grid.NewDecomposition(f.Bounds(), 8, 8, 8, 4)

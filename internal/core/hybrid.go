@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -104,14 +105,16 @@ func (m msgSeedShare) Bytes() int64 { return 16 + int64(len(m.recs))*32 }
 // --- topology ---
 
 // sortedBlocks returns the keys of a block-keyed map in ascending order,
-// so that decision loops are deterministic.
-func sortedBlocks[V any](m map[grid.BlockID]V) []grid.BlockID {
-	out := make([]grid.BlockID, 0, len(m))
+// so that decision loops are deterministic. The keys are written over
+// buf's storage, so a caller that keeps the result as its next buf sorts
+// without allocating.
+func sortedBlocks[V any](buf []grid.BlockID, m map[grid.BlockID]V) []grid.BlockID {
+	buf = buf[:0]
 	for b := range m {
-		out = append(out, b)
+		buf = append(buf, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(buf)
+	return buf
 }
 
 // hybridTopology computes master/slave counts: one master per W slaves.
@@ -420,7 +423,7 @@ func (s *slave) runAsMaster(pm msgPromote) {
 		tr.Mark(ep, obs.MarkFailover, w.proc.Now(), int64(len(pm.flock)), int64(len(pm.recs)))
 	}
 	recs := append([]seedRec(nil), pm.recs...)
-	for _, b := range sortedBlocks(s.byBlock) {
+	for _, b := range sortedBlocks(nil, s.byBlock) {
 		for _, sl := range s.byBlock[b] {
 			recs = append(recs, r.restartRec(sl))
 			w.releaseStreamline(sl)
@@ -454,8 +457,8 @@ type master struct {
 	w      *worker
 	index  int // master ordinal (0..nm-1); endpoint index equals ordinal
 	nm     int
-	slaves map[int]*slaveRec // by endpoint
-	order  []int             // deterministic slave iteration order
+	group  []*slaveRec    // the live slaves, by ascending endpoint
+	blocks []grid.BlockID // scratch for sortedBlocks; no loop using it nests another
 
 	pool      map[grid.BlockID][]seedRec // unassigned released seeds by block
 	poolCount int
@@ -481,23 +484,17 @@ type master struct {
 
 func newMaster(r *runState, w *worker, index, nm int, group []int, pool []seedRec) *master {
 	m := &master{
-		r:      r,
-		w:      w,
-		index:  index,
-		nm:     nm,
-		slaves: make(map[int]*slaveRec),
-		pool:   make(map[grid.BlockID][]seedRec),
-		rng:    rand.New(rand.NewSource(int64(7919 + index))),
+		r:     r,
+		w:     w,
+		index: index,
+		nm:    nm,
+		pool:  make(map[grid.BlockID][]seedRec),
+		rng:   rand.New(rand.NewSource(int64(7919 + index))),
 	}
 	for _, ep := range group {
-		m.slaves[ep] = &slaveRec{
-			ep:       ep,
-			perBlock: make(map[grid.BlockID]int),
-			loaded:   make(map[grid.BlockID]bool),
-		}
-		m.order = append(m.order, ep)
+		m.group = append(m.group, newSlaveRec(ep))
 	}
-	sort.Ints(m.order)
+	slices.SortFunc(m.group, func(a, b *slaveRec) int { return a.ep - b.ep })
 	// Split released from future seeds relative to the current clock:
 	// zero at build time (where release > 0 means future, as before),
 	// mid-run for a failover promotion adopting a dead master's pool.
@@ -521,6 +518,20 @@ func newMaster(r *runState, w *worker, index, nm int, group []int, pool []seedRe
 	}
 	r.hybMasters[index] = m
 	return m
+}
+
+func newSlaveRec(ep int) *slaveRec {
+	return &slaveRec{
+		ep:       ep,
+		perBlock: make(map[grid.BlockID]int),
+		loaded:   make(map[grid.BlockID]bool),
+	}
+}
+
+// find returns the group position of the slave at endpoint ep, or the
+// position where it would be inserted, and whether it is present.
+func (m *master) find(ep int) (int, bool) {
+	return slices.BinarySearchFunc(m.group, ep, func(s *slaveRec, ep int) int { return s.ep - ep })
 }
 
 // coordEP returns the current completion coordinator's endpoint: always
@@ -576,8 +587,8 @@ func (m *master) run() {
 	} else {
 		// Initial allocation: every slave receives N seeds through the
 		// Assign-unloaded rule.
-		for _, ep := range m.order {
-			m.assignSeeds(m.slaves[ep], grid.NoBlock)
+		for _, s := range m.group {
+			m.assignSeeds(s, grid.NoBlock)
 		}
 		if m.index == 0 && m.totalSeeds == 0 {
 			m.terminate()
@@ -641,8 +652,8 @@ func (m *master) run() {
 
 // terminate shuts down this master's slaves and exits.
 func (m *master) terminate() {
-	for _, ep := range m.order {
-		m.w.end.Send(ep, msgTerminate{})
+	for _, s := range m.group {
+		m.w.end.Send(s.ep, msgTerminate{})
 	}
 	m.done = true
 }
@@ -680,7 +691,7 @@ func (m *master) onCompleted(count int) {
 }
 
 func (m *master) onStatus(st msgStatus) {
-	rec, ok := m.slaves[st.slave]
+	i, ok := m.find(st.slave)
 	if !ok {
 		// A remastered slave's first status can arrive before this
 		// (promoted) master modeled it; adopt live reporters, ignore
@@ -688,17 +699,9 @@ func (m *master) onStatus(st msgStatus) {
 		if !m.r.faultsOn || !m.r.running(st.slave) {
 			return
 		}
-		rec = &slaveRec{
-			ep:       st.slave,
-			perBlock: make(map[grid.BlockID]int),
-			loaded:   make(map[grid.BlockID]bool),
-		}
-		m.slaves[st.slave] = rec
-		i := sort.SearchInts(m.order, st.slave)
-		m.order = append(m.order, 0)
-		copy(m.order[i+1:], m.order[i:])
-		m.order[i] = st.slave
+		m.group = slices.Insert(m.group, i, newSlaveRec(st.slave))
 	}
+	rec := m.group[i]
 	rec.active = st.active
 	rec.perBlock = st.perBlock
 	rec.loaded = make(map[grid.BlockID]bool, len(st.loaded))
@@ -729,8 +732,7 @@ func (m *master) onStatus(st msgStatus) {
 // request (which would livelock two idle masters in a message loop).
 func (m *master) applyRules(allowSeedRequest bool) {
 	assignedAny := false
-	for _, ep := range m.order {
-		s := m.slaves[ep]
+	for _, s := range m.group {
 		if !s.needsWork {
 			continue
 		}
@@ -809,16 +811,11 @@ func (m *master) onMigrated(msg msgStreamlines) {
 // onSlaveDead drops a dead slave from the model; its streamlines come
 // back separately as a msgAdoptPool from the recovery layer.
 func (m *master) onSlaveDead(ep int) {
-	if _, ok := m.slaves[ep]; !ok {
+	i, ok := m.find(ep)
+	if !ok {
 		return
 	}
-	delete(m.slaves, ep)
-	for i, e := range m.order {
-		if e == ep {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	m.group = slices.Delete(m.group, i, i+1)
 	m.applyRules(false)
 	m.shedIfSlaveless()
 }
@@ -827,7 +824,7 @@ func (m *master) onSlaveDead(ep int) {
 // still has slaves to integrate them, once every slave of its own has
 // died. With no other master left either, the run cannot finish.
 func (m *master) shedIfSlaveless() {
-	if !m.r.faultsOn || m.done || len(m.order) > 0 || (m.poolCount == 0 && len(m.future) == 0) {
+	if !m.r.faultsOn || m.done || len(m.group) > 0 || (m.poolCount == 0 && len(m.future) == 0) {
 		return
 	}
 	tgt := -1
@@ -854,8 +851,8 @@ func (m *master) shedIfSlaveless() {
 }
 
 func (m *master) anyNeedsWork() bool {
-	for _, ep := range m.order {
-		if m.slaves[ep].needsWork {
+	for _, s := range m.group {
+		if s.needsWork {
 			return true
 		}
 	}
@@ -884,16 +881,17 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 		return true
 	}
 
-	// Step 4 (Assign-loaded): seeds in a block S already has in memory.
-	for _, b := range sortedBlocks(s.loaded) {
-		if len(m.pool[b]) > 0 {
-			m.assignSeedsFrom(s, b)
-			return true
-		}
-	}
-
-	// Step 5 (Assign-unloaded): any seeds at all.
 	if m.poolCount > 0 {
+		// Step 4 (Assign-loaded): seeds in a block S already has in
+		// memory.
+		m.blocks = sortedBlocks(m.blocks, s.loaded)
+		for _, b := range m.blocks {
+			if len(m.pool[b]) > 0 {
+				m.assignSeedsFrom(s, b)
+				return true
+			}
+		}
+		// Step 5 (Assign-unloaded): any seeds at all.
 		m.assignSeeds(s, grid.NoBlock)
 		return true
 	}
@@ -932,7 +930,8 @@ func (m *master) applyRulesFor(s *slaveRec) bool {
 func (m *master) busiestAny(s *slaveRec) (grid.BlockID, int) {
 	best := grid.NoBlock
 	bestN := 0
-	for _, b := range sortedBlocks(s.perBlock) {
+	m.blocks = sortedBlocks(m.blocks, s.perBlock)
+	for _, b := range m.blocks {
 		if n := s.perBlock[b]; n > bestN {
 			best, bestN = b, n
 		}
@@ -943,17 +942,13 @@ func (m *master) busiestAny(s *slaveRec) (grid.BlockID, int) {
 // forceOffload implements step 1: S sends streamlines in unloaded blocks
 // to group members having those blocks loaded, subject to NO.
 func (m *master) forceOffload(s *slaveRec, hp HybridParams) {
-	blocks := make([]grid.BlockID, 0, len(s.perBlock))
-	for b, n := range s.perBlock {
-		if n > 0 && !s.loaded[b] {
-			blocks = append(blocks, b)
-		}
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
+	m.blocks = sortedBlocks(m.blocks, s.perBlock)
+	for _, b := range m.blocks {
 		n := s.perBlock[b]
-		for _, ep := range m.order {
-			t := m.slaves[ep]
+		if n <= 0 || s.loaded[b] {
+			continue
+		}
+		for _, t := range m.group {
 			if t == s || !t.loaded[b] {
 				continue
 			}
@@ -971,23 +966,25 @@ func (m *master) forceOffload(s *slaveRec, hp HybridParams) {
 }
 
 // forceToward implements step 3: other slaves send S their streamlines in
-// blocks S has loaded.
+// blocks S has loaded. Instructions go out slave by slave in group order,
+// then by ascending block; S's loaded set does not change during the
+// walk, so it is sorted once, when the first slave holding streamlines
+// is reached, and probed against each such slave.
 func (m *master) forceToward(s *slaveRec, hp HybridParams) bool {
-	sent := false
-	for _, ep := range m.order {
-		t := m.slaves[ep]
-		if t == s {
+	sorted, sent := false, false
+	for _, t := range m.group {
+		if t == s || len(t.perBlock) == 0 {
 			continue
 		}
-		blocks := make([]grid.BlockID, 0, len(t.perBlock))
-		for b, n := range t.perBlock {
-			if n > 0 && !t.loaded[b] && s.loaded[b] {
-				blocks = append(blocks, b)
-			}
+		if !sorted {
+			m.blocks = sortedBlocks(m.blocks, s.loaded)
+			sorted = true
 		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
+		for _, b := range m.blocks {
 			n := t.perBlock[b]
+			if n <= 0 || t.loaded[b] {
+				continue
+			}
 			if s.active+n > hp.NO {
 				continue
 			}
@@ -1007,7 +1004,8 @@ func (m *master) forceToward(s *slaveRec, hp HybridParams) bool {
 func (m *master) busiestUnloaded(s *slaveRec) (grid.BlockID, int) {
 	best := grid.NoBlock
 	bestN := 0
-	for _, b := range sortedBlocks(s.perBlock) {
+	m.blocks = sortedBlocks(m.blocks, s.perBlock)
+	for _, b := range m.blocks {
 		n := s.perBlock[b]
 		if s.loaded[b] || n == 0 {
 			continue
@@ -1024,8 +1022,7 @@ func (m *master) busiestUnloaded(s *slaveRec) (grid.BlockID, int) {
 func (m *master) busiestSlave(excludeEP int) *slaveRec {
 	bestN := 0
 	var candidates []*slaveRec
-	for _, e := range m.order {
-		s := m.slaves[e]
+	for _, s := range m.group {
 		if s.ep == excludeEP || s.active == 0 {
 			continue
 		}
@@ -1060,7 +1057,8 @@ func (m *master) assignSeeds(s *slaveRec, from grid.BlockID) {
 	b := from
 	if b == grid.NoBlock {
 		bestN := 0
-		for _, blk := range sortedBlocks(m.pool) {
+		m.blocks = sortedBlocks(m.blocks, m.pool)
+		for _, blk := range m.blocks {
 			if n := len(m.pool[blk]); n > bestN {
 				b, bestN = blk, n
 			}
@@ -1100,12 +1098,8 @@ func (m *master) onSeedRequest(from int) {
 	share := []seedRec{}
 	want := m.r.cfg.Hybrid.W * m.r.cfg.Hybrid.N
 	if m.poolCount > 2*want { // only share surplus
-		blocks := make([]grid.BlockID, 0, len(m.pool))
-		for b := range m.pool {
-			blocks = append(blocks, b)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
+		m.blocks = sortedBlocks(m.blocks, m.pool)
+		for _, b := range m.blocks {
 			if len(share) >= want {
 				break
 			}

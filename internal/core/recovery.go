@@ -157,7 +157,7 @@ func (r *runState) poolRecs(pl *pool) []seedRec {
 		return nil
 	}
 	var recs []seedRec
-	for _, b := range sortedBlocks(pl.pending) {
+	for _, b := range sortedBlocks(nil, pl.pending) {
 		for _, sl := range pl.pending[b] {
 			recs = append(recs, r.restartRec(sl))
 		}
@@ -428,7 +428,7 @@ func (r *runState) hybridDied(idx int, envs []comm.Envelope) {
 		sortRecs(recs)
 		r.promoteOrRoute(idx, recs)
 	} else if s := r.hybSlaves[idx]; s != nil {
-		for _, b := range sortedBlocks(s.byBlock) {
+		for _, b := range sortedBlocks(nil, s.byBlock) {
 			for _, sl := range s.byBlock[b] {
 				recs = append(recs, r.restartRec(sl))
 			}
@@ -452,7 +452,7 @@ func (r *runState) hybridDied(idx int, envs []comm.Envelope) {
 // in block order, then the future (not-yet-released) tail.
 func (r *runState) masterPoolRecs(m *master) []seedRec {
 	var recs []seedRec
-	for _, b := range sortedBlocks(m.pool) {
+	for _, b := range sortedBlocks(nil, m.pool) {
 		recs = append(recs, m.pool[b]...)
 	}
 	recs = append(recs, m.future...)

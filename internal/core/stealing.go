@@ -354,7 +354,7 @@ func (t *thief) pickLoot() []*trace.Streamline {
 		return nil
 	}
 	var loot []*trace.Streamline
-	for _, b := range sortedBlocks(pl.pending) {
+	for _, b := range sortedBlocks(nil, pl.pending) {
 		if len(loot) >= target {
 			break
 		}

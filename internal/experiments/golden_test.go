@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -17,19 +19,46 @@ import (
 	"repro/internal/trace"
 )
 
-// updateGoldens rewrites testdata/goldens.txt from the current build:
+// updateGoldens rewrites testdata/goldens.txt and testdata/behaviour.txt
+// from the current build:
 //
 //	go test ./internal/experiments -run TestGoldenDigests -update
 //
 // Only do this after deliberately changing the numerics (integrator,
-// fields, seeding); a scheduler or algorithm change must NOT move these
-// digests — that is the regression this test exists to catch.
-var updateGoldens = flag.Bool("update", false, "rewrite the golden geometry digests")
+// fields, seeding) or the simulated protocol (message order, cost
+// model), and state the reason in the commit; a host-side refactor of
+// the kernel or the scheduler must NOT move these digests — that is the
+// regression this test exists to catch.
+var updateGoldens = flag.Bool("update", false, "rewrite the golden geometry and behaviour digests")
 
-// goldenScale is a trimmed configuration so the 144 runs (3 datasets ×
-// {steady, unsteady} × 4 algorithms × (prefetch {off, both} × injection
-// {t0, stagger} + one faulted run + one traced run)) stay test-suite
-// fast while still crossing blocks, epochs and processor boundaries.
+// wideProcs is the processor count of the golden-scale wide cells: at
+// the default W = 32, hybrid runs one master over a 63-slave group and
+// stealing a 64-member ring, so master rules over many slaves and long
+// steal rings are pinned alongside the 8-processor cells.
+const wideProcs = 64
+
+// outcomeDigest fingerprints everything a run reports: the SHA-256 of
+// its summary/v1 canonical bytes, or of its error text when it failed.
+func outcomeDigest(t *testing.T, res *core.Result, err error) string {
+	t.Helper()
+	var sum [32]byte
+	if err != nil {
+		sum = sha256.Sum256([]byte("error:" + err.Error()))
+	} else {
+		enc, encErr := res.Summary.CanonicalJSON()
+		if encErr != nil {
+			t.Fatal(encErr)
+		}
+		sum = sha256.Sum256(enc)
+	}
+	return hex.EncodeToString(sum[:])
+}
+
+// goldenScale is a trimmed configuration so the 156 runs (3 datasets ×
+// {steady, unsteady} × (4 algorithms × (prefetch {off, both} × injection
+// {t0, stagger} + one faulted run + one traced run) + 2 wide cells))
+// stay test-suite fast while still crossing blocks, epochs and processor
+// boundaries.
 func goldenScale() Scale {
 	sc := SmallScale()
 	sc.AstroSeeds = 50
@@ -57,6 +86,13 @@ func goldenScale() Scale {
 // on the unchanged goldens, because adopted streamlines restart from
 // their seeds through the same deterministic integrator.
 //
+// Every run's behaviour is pinned as well: testdata/behaviour.txt holds
+// the SHA-256 of each run's summary/v1 bytes (virtual wall clock, I/O,
+// message and steal counts, failovers, …) and each traced run's obs
+// event-stream hash, so a change that reorders messages or events
+// without moving a streamline still fails here. The wide cells add
+// hybrid and stealing at wideProcs processors to both tables.
+//
 // The digests are computed over exact IEEE-754 bits (trace.
 // CanonicalDigest). Go's floating-point evaluation of this code is
 // deterministic for a given architecture family; the goldens are
@@ -71,6 +107,7 @@ func TestGoldenDigests(t *testing.T) {
 	procs := 8
 
 	got := map[string]string{}
+	behaviour := map[string]string{}
 	for _, ds := range Datasets() {
 		for _, unsteady := range []bool{false, true} {
 			workload := "steady"
@@ -104,6 +141,11 @@ func TestGoldenDigests(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s/%s/%s/inject=%s: %v", key, alg, pf, inj, err)
 						}
+						injLabel := string(inj)
+						if inj == InjectT0 {
+							injLabel = "t0"
+						}
+						behaviour[fmt.Sprintf("%s/%s/p%d/prefetch=%s/inject=%s", key, alg, procs, pf, injLabel)] = outcomeDigest(t, res, nil)
 						digest := trace.CanonicalDigest(res.Streamlines)
 						variant := fmt.Sprintf("%s(prefetch %s, inject %q)", alg, pf, inj)
 						if ref == "" {
@@ -127,6 +169,7 @@ func TestGoldenDigests(t *testing.T) {
 					Procs: procs, Unsteady: unsteady, Faults: FaultsKill}, sc)
 				cfg.CollectTraces = true
 				res, err := core.Run(probs[InjectT0], cfg)
+				behaviour[fmt.Sprintf("%s/%s/p%d/faults=kill", key, alg, procs)] = outcomeDigest(t, res, err)
 				if alg == core.StaticAlloc {
 					var ue *faults.UnrecoverableError
 					if !errors.As(err, &ue) {
@@ -160,6 +203,9 @@ func TestGoldenDigests(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s under tracing: %v", key, alg, err)
 				}
+				label := fmt.Sprintf("%s/%s/p%d/traced", key, alg, procs)
+				behaviour[label] = outcomeDigest(t, res, nil)
+				behaviour[label+"/events"] = fmt.Sprintf("%016x", cfg.Trace.Report().Hash)
 				if cfg.Trace.Report().Events == 0 {
 					t.Errorf("%s/%s: traced run recorded no events — the dimension is vacuous", key, alg)
 				}
@@ -168,11 +214,34 @@ func TestGoldenDigests(t *testing.T) {
 						key, alg, digest[:16], ref[:16])
 				}
 			}
+			// The wide dimension: hybrid and stealing at wideProcs.
+			for _, alg := range []core.Algorithm{core.HybridMS, core.WorkStealing} {
+				cfg := KeyMachineConfig(Key{Dataset: ds, Seeding: Sparse, Alg: alg,
+					Procs: wideProcs, Unsteady: unsteady}, sc)
+				cfg.CollectTraces = true
+				res, err := core.Run(probs[InjectT0], cfg)
+				if err != nil {
+					t.Fatalf("%s/%s at %d procs: %v", key, alg, wideProcs, err)
+				}
+				behaviour[fmt.Sprintf("%s/%s/p%d", key, alg, wideProcs)] = outcomeDigest(t, res, nil)
+				if digest := trace.CanonicalDigest(res.Streamlines); digest != ref {
+					t.Errorf("%s: %s at %d procs digest %s differs from %s",
+						key, alg, wideProcs, digest[:16], ref[:16])
+				}
+			}
 			got[key] = ref
 		}
 	}
 
-	path := filepath.Join("testdata", "goldens.txt")
+	checkDigestFile(t, "goldens.txt", "Golden geometry digests: <dataset>/<workload> <sha256>", got, "geometry")
+	checkDigestFile(t, "behaviour.txt", "Golden behaviour digests: <run> <sha256 of summary/v1 bytes | obs events hash>", behaviour, "behaviour")
+}
+
+// checkDigestFile compares got against testdata/<name>, or rewrites the
+// file under -update. what names the pinned property in failures.
+func checkDigestFile(t *testing.T, name, header string, got map[string]string, what string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGoldens {
 		keys := make([]string, 0, len(got))
 		for k := range got {
@@ -180,7 +249,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		sort.Strings(keys)
 		var b strings.Builder
-		b.WriteString("# Golden geometry digests: <dataset>/<workload> <sha256>\n")
+		fmt.Fprintf(&b, "# %s\n", header)
 		b.WriteString("# Regenerate with: go test ./internal/experiments -run TestGoldenDigests -update\n")
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%s %s\n", k, got[k])
@@ -191,7 +260,7 @@ func TestGoldenDigests(t *testing.T) {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d goldens to %s", len(got), path)
+		t.Logf("wrote %d digests to %s", len(got), path)
 		return
 	}
 
@@ -212,7 +281,7 @@ func TestGoldenDigests(t *testing.T) {
 		want[parts[0]] = parts[1]
 	}
 	if len(want) != len(got) {
-		t.Errorf("goldens file has %d entries, campaign produced %d", len(want), len(got))
+		t.Errorf("%s has %d entries, campaign produced %d", name, len(want), len(got))
 	}
 	for k, g := range got {
 		w, ok := want[k]
@@ -221,8 +290,8 @@ func TestGoldenDigests(t *testing.T) {
 			continue
 		}
 		if g != w {
-			t.Errorf("%s: digest %s... differs from golden %s... — geometry changed; if intentional, regenerate with -update",
-				k, g[:16], w[:16])
+			t.Errorf("%s: digest %s... differs from golden %s... — %s changed; if intentional, regenerate with -update",
+				k, g[:16], w[:16], what)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Processor failure: first-class, deterministic death of a simulated
 // process. A fault plan (internal/faults) schedules Proc.FailAt calls;
-// at the fault instant the kernel unwinds the victim's goroutine through
+// at the fault instant the kernel unwinds the victim's coroutine through
 // the same procKilled panic used for end-of-run cleanup, runs its
 // deferred cleanups (releasing any Resource slots it holds), and then
 // notifies every registered watcher in virtual time. Because the fault
@@ -44,14 +44,16 @@ func (p *Proc) FailAt(t float64) {
 	p.k.At(t, func() { p.k.Fail(p) })
 }
 
-// Fail kills p at the current virtual time: the process's goroutine is
-// unwound through the procKilled panic (running its deferred cleanups,
-// e.g. releasing a held Resource slot), after which each watcher
-// registered with Watch is notified in registration order. Failing a
-// process that already finished or failed is a no-op. Fail must not be
-// called from p's own body — a process cannot outlive its own unwind —
-// but calling it from kernel callbacks (the fault-plan path) or from
-// another process is safe.
+// Fail kills p at the current virtual time: the process's coroutine is
+// resumed once and unwound through the procKilled panic (running its
+// deferred cleanups, e.g. releasing a held Resource slot), after which
+// each watcher registered with Watch is notified in registration order.
+// A process that has not had its first turn yet is marked done without
+// entering its body. Failing a process that already finished or failed
+// is a no-op. Fail must not be called from p's own body — a process
+// cannot outlive its own unwind — but calling it from kernel callbacks
+// (the fault-plan path) or from another process is safe: the unwind is
+// a nested coroutine switch that returns to the caller.
 func (k *Kernel) Fail(p *Proc) {
 	if p.done || p.killed {
 		return
@@ -62,11 +64,10 @@ func (k *Kernel) Fail(p *Proc) {
 	// cancel it so it neither pins the dead process in the event heap
 	// nor charges it idle time at the virtual deadline.
 	k.cancelTimer(p)
-	// The victim is parked in <-p.resume (every process not currently
-	// executing is); resuming it makes yield panic procKilled, and the
-	// recover in run signals ctl once the stack has unwound.
-	p.resume <- struct{}{}
-	<-k.ctl
+	// The victim is suspended in yield (every process not currently
+	// executing is) or has not started; resuming it makes yield panic
+	// procKilled, and next returns once the stack has unwound.
+	p.next()
 	for _, w := range p.watchers {
 		k.Deliver(w.p, w.msg, w.delay)
 	}

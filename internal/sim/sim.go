@@ -9,21 +9,26 @@
 // explicit charges for computation, I/O and communication applied by the
 // layers above.
 //
-// Execution model: exactly one process runs at a time (sequential
-// coroutine scheduling), so the simulation is fully deterministic — the
-// same inputs produce the same event order, the same virtual timings and
-// the same results, which the property tests rely on.
+// Execution model: exactly one process runs at a time, so the
+// simulation is fully deterministic — the same inputs produce the same
+// event order, the same virtual timings and the same results, which the
+// property tests rely on. Each process body is a coroutine built with
+// iter.Pull: the kernel resumes a process by calling its next function,
+// and the process hands control back by calling the coroutine's yield.
+// Both are direct coroutine switches, never a trip through the Go
+// scheduler, and only the kernel decides which process runs next.
 //
 // The kernel is on every simulated operation's path, so its event queue
 // is a concrete-typed hand-rolled heap (no container/heap `any` boxing),
 // the built-in wake sources (Sleep, Deliver, RecvUntil deadlines) are
 // tagged events rather than closures, spent events are recycled through
 // a free list, and an uncontended Sleep advances the clock without
-// touching the event queue or the scheduler goroutine at all.
+// switching coroutines at all.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -143,7 +148,6 @@ type Kernel struct {
 	runnable   []*Proc
 	runHead    int // index of the next runnable entry (consumed prefix is nil)
 	procs      []*Proc
-	ctl        chan struct{}
 	running    bool
 	halted     bool
 	deadLetter func(to *Proc, msg any)
@@ -163,7 +167,7 @@ func (k *Kernel) SetIdleHook(fn func(p *Proc, start, end float64)) { k.idleHook 
 
 // New returns an empty kernel at virtual time 0.
 func New() *Kernel {
-	return &Kernel{ctl: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -234,20 +238,21 @@ func (k *Kernel) At(t float64, fn func()) {
 // After schedules fn to run d seconds from now.
 func (k *Kernel) After(d float64, fn func()) { k.At(k.now+d, fn) }
 
-// procKilled is the panic payload used to unwind a process's goroutine:
+// procKilled is the panic payload used to unwind a process's coroutine:
 // at end of run for processes still blocked, on Kernel.Halt for a
 // deliberately aborted run, and at a scheduled fault instant for
 // processes killed mid-run by Kernel.Fail (see fail.go).
 type procKilled struct{}
 
-// Proc is one simulated processor. Its body function runs on its own
-// goroutine but only ever executes while the kernel has handed it control,
-// so process code needs no locking.
+// Proc is one simulated processor. Its body function runs as a coroutine
+// that only ever executes between the kernel's call to next and the
+// process's next yield, so process code needs no locking.
 type Proc struct {
 	k         *Kernel
 	id        int
 	name      string
-	resume    chan struct{}
+	next      func() (struct{}, bool) // resume the coroutine until it yields or ends
+	yieldTo   func(struct{}) bool     // hand control back to whoever called next
 	inbox     []any
 	inboxHead int    // index of the oldest unconsumed message
 	timer     *event // pending RecvUntil deadline, nil when none
@@ -290,25 +295,35 @@ func (k *Kernel) wake(p *Proc, seq uint64) {
 // process is allowed.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		body:   body,
+		k:    k,
+		id:   len(k.procs),
+		name: name,
+		body: body,
 	}
+	// The coroutine's stop function is never needed: every coroutine
+	// runs to its end, either through its body or through the procKilled
+	// unwind that Run and Fail drive.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldTo = yield
+		p.run()
+	})
 	k.procs = append(k.procs, p)
 	k.runnable = append(k.runnable, p)
-	go p.run()
 	return p
 }
 
+// run is the coroutine body. A process killed before its first turn
+// (failed, or unwound at end of run) never enters its body, so it cannot
+// act — send a message, take a slot — after its death.
 func (p *Proc) run() {
-	<-p.resume
+	if p.killed {
+		p.done = true
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); ok {
 				p.done = true
-				p.k.ctl <- struct{}{}
 				return
 			}
 			panic(r)
@@ -316,7 +331,6 @@ func (p *Proc) run() {
 	}()
 	p.body(p)
 	p.done = true
-	p.k.ctl <- struct{}{}
 }
 
 // ID returns the process index (dense from 0 in spawn order).
@@ -335,10 +349,12 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // waiting for messages.
 func (p *Proc) IdleTime() float64 { return p.idleTotal }
 
-// yield hands control back to the kernel and blocks until resumed.
+// yield suspends the coroutine, returning control to the caller of next
+// (Run's loop, or Fail for a process killed from a kernel callback or
+// another process), until the kernel calls next again. A process resumed
+// after being killed unwinds through the procKilled panic.
 func (p *Proc) yield() {
-	p.k.ctl <- struct{}{}
-	<-p.resume
+	p.yieldTo(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -514,7 +530,9 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation until every process has finished or no
 // further progress is possible. It returns a *DeadlockError if processes
 // remain blocked with an empty event queue; blocked processes are then
-// forcibly unwound so no goroutines leak.
+// forcibly unwound so no coroutines leak. A panic in a process body
+// (other than the kernel's own unwind) propagates to Run's caller with
+// its original value.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
@@ -534,8 +552,7 @@ func (k *Kernel) Run() error {
 			if p.done || p.killed {
 				continue
 			}
-			p.resume <- struct{}{}
-			<-k.ctl
+			p.next()
 			continue
 		}
 		if len(k.events) > 0 {
@@ -555,8 +572,7 @@ func (k *Kernel) Run() error {
 		if !p.done {
 			stuck = append(stuck, p.name)
 			p.killed = true
-			p.resume <- struct{}{}
-			<-k.ctl
+			p.next()
 		}
 	}
 	if k.halted {
