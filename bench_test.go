@@ -20,7 +20,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/metrics"
-	"repro/internal/pathline"
 	"repro/internal/prefetch"
 	"repro/internal/seeds"
 	"repro/internal/sim"
@@ -328,12 +327,13 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 
 func BenchmarkDoPri5Step(b *testing.B) {
 	f := field.DefaultABC()
+	var ev integrate.Evaluator = grid.FieldEvaluator{F: f}
 	s := integrate.NewDoPri5(integrate.Options{Tol: 1e-6})
 	p := vec.Of(1, 1, 1)
 	t := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Step(f, p, t)
+		res, err := s.Step(ev, p, t)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,31 +453,6 @@ func BenchmarkStreamlineMarshal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPathlineIOAmplification quantifies the paper's §8 observation:
-// pathlines through a time-sliced dataset need many more (smaller) reads
-// than steady streamlines over the same geometry.
-func BenchmarkPathlineIOAmplification(b *testing.B) {
-	tok := field.DefaultTokamak()
-	unsteady := pathline.Steady{Eval: tok.Eval, Box: tok.Bounds(), T0: 0, T1: 20}
-	d := grid.NewDecomposition(tok.Bounds(), 4, 4, 2, 16)
-	series, err := pathline.NewSeries(unsteady, d, 21)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedPts := []vec.V3{
-		vec.Of(tok.MajorRadius+0.05, 0, 0),
-		vec.Of(tok.MajorRadius+0.12, 0, 0),
-	}
-	var amplification float64
-	for i := 0; i < b.N; i++ {
-		tr := pathline.NewTracer(series, integrate.Options{Tol: 1e-6, HMax: 0.05}, 0)
-		paths := tr.TraceAll(seedPts, 0, 50000)
-		steady := pathline.StreamlineLoads(paths, d)
-		amplification = float64(tr.Loads) / float64(steady)
-	}
-	b.ReportMetric(amplification, "io-amplification")
 }
 
 // BenchmarkPrefetchCampaign compares the asynchronous-prefetch policies
@@ -645,35 +620,4 @@ func BenchmarkUnsteadyCampaign(b *testing.B) {
 			b.ReportMetric(float64(s.EpochCrossings), "epochs")
 		})
 	}
-}
-
-// BenchmarkAdvectDispatch prices the field-evaluator inner loop both
-// ways on the same thermal streamline: through the integrate.Evaluator
-// interface (the pre-§12 inner loop) and through the generic
-// instantiation core's workers now select (DESIGN.md §12). The gap is
-// the cost of dynamic dispatch per RK stage — the generic path lets the
-// field's Eval inline into the stepper.
-func BenchmarkAdvectDispatch(b *testing.B) {
-	f := field.DefaultThermalHydraulics()
-	s := integrate.NewDoPri5(integrate.Options{Tol: 1e-6, HMax: 0.01})
-	lim := integrate.AdvectLimits{Bounds: f.Bounds(), MaxSteps: 512}
-	seed := vec.Of(0.05, 0.43, 0.56)
-	b.Run("interface", func(b *testing.B) {
-		var buf []vec.V3
-		for i := 0; i < b.N; i++ {
-			s.H = 0
-			lim.Buf = buf
-			res := s.Advect(f, seed, 0, lim)
-			buf = res.Points[:0]
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		var buf []vec.V3
-		for i := 0; i < b.N; i++ {
-			s.H = 0
-			lim.Buf = buf
-			res := integrate.AdvectWith(s, f, seed, 0, lim)
-			buf = res.Points[:0]
-		}
-	})
 }

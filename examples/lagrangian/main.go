@@ -1,23 +1,22 @@
 // Lagrangian analysis: the workload class the paper's introduction
 // motivates ("Finite-Time Lyapunov Exponents and Lagrangian Coherent
 // Structures... can require many thousands to millions of streamlines").
-// This example computes an FTLE slice of the ABC flow, a Poincaré
-// puncture plot of the tokamak field, and a pathline-vs-streamline I/O
-// comparison (the paper's §8 extension).
+// This example computes an FTLE slice of the ABC flow and a Poincaré
+// puncture plot of the tokamak field. The pathline-vs-streamline I/O
+// comparison (the paper's §8 extension) lives in examples/pathlines,
+// which runs it through all four parallel algorithms.
 //
 //	go run ./examples/lagrangian
 package main
 
 import (
 	"fmt"
-	"log"
 	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
-	"repro/internal/pathline"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -61,7 +60,7 @@ func main() {
 	for i := 0; i < 6; i++ {
 		r := 0.05 + 0.035*float64(i)
 		start := vec.Of(tok.MajorRadius+r, 0, 0)
-		res := solver.Advect(tok, start, 0, integrate.AdvectLimits{
+		res := solver.Advect(grid.FieldEvaluator{F: tok}, start, 0, integrate.AdvectLimits{
 			Bounds:   tok.Bounds(),
 			MaxSteps: 12000,
 		})
@@ -82,25 +81,4 @@ func main() {
 	}
 	fmt.Printf("%d/%d punctures inside the plasma cross-section (nested invariant tori)\n",
 		inside, len(punctures))
-
-	// --- Pathlines: the §8 I/O problem, quantified ---
-	unsteady := pathline.Steady{Eval: tok.Eval, Box: tok.Bounds(), T0: 0, T1: 20}
-	d := grid.NewDecomposition(tok.Bounds(), 4, 4, 2, 16)
-	series, err := pathline.NewSeries(unsteady, d, 21) // 20 stored time steps
-	if err != nil {
-		log.Fatal(err)
-	}
-	tracer := pathline.NewTracer(series, integrate.Options{Tol: 1e-6, HMax: 0.05}, 0)
-	seeds := []vec.V3{
-		vec.Of(tok.MajorRadius+0.05, 0, 0),
-		vec.Of(tok.MajorRadius+0.12, 0, 0),
-		vec.Of(tok.MajorRadius-0.08, 0, 0.05),
-	}
-	paths := tracer.TraceAll(seeds, 0, 50000)
-	steadyLoads := pathline.StreamlineLoads(paths, d)
-	fmt.Printf("\npathlines through %d time steps: %d block-slice reads (%d MB)\n",
-		series.NT, tracer.Loads, tracer.BytesLoaded>>20)
-	fmt.Printf("equivalent steady streamlines:   %d block reads\n", steadyLoads)
-	fmt.Printf("I/O amplification: %.1fx — the \"many small reads\" problem of the paper's §8\n",
-		float64(tracer.Loads)/float64(steadyLoads))
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/trace"
@@ -140,7 +141,8 @@ func flowMap(ev grid.Evaluator, p vec.V3, opts FTLEOptions) vec.V3 {
 // time T and the largest singular value of the flow-map gradient gives
 // the exponential separation rate — ridges of this field are the
 // Lagrangian coherent structures of Section 2.1.
-func FTLE(ev grid.Evaluator, box vec.AABB, nx, ny, nz int, opts FTLEOptions) *FTLEField {
+func FTLE(fld field.Field, box vec.AABB, nx, ny, nz int, opts FTLEOptions) *FTLEField {
+	var ev grid.Evaluator = grid.FieldEvaluator{F: fld}
 	if opts.T == 0 {
 		opts.T = 1
 	}

@@ -56,7 +56,7 @@ func TestPuncturesRotationCircle(t *testing.T) {
 	// half-plane's full plane twice per revolution.
 	f := field.Rotation{Omega: 1}
 	s := integrate.NewDoPri5(integrate.Options{Tol: 1e-8, HMax: 0.05})
-	res := s.Advect(f, vec.Of(1, 0, 0), 0, integrate.AdvectLimits{
+	res := s.Advect(grid.FieldEvaluator{F: f}, vec.Of(1, 0, 0), 0, integrate.AdvectLimits{
 		Bounds:  vec.Box(vec.Of(-2, -2, -2), vec.Of(2, 2, 2)),
 		MaxTime: 4 * math.Pi, // two revolutions
 	})
@@ -95,7 +95,7 @@ func TestTokamakPuncturesStayInTorus(t *testing.T) {
 	tok := field.DefaultTokamak()
 	s := integrate.NewDoPri5(integrate.Options{Tol: 1e-7, HMax: 0.02})
 	start := vec.Of(tok.MajorRadius+0.1, 0, 0)
-	res := s.Advect(tok, start, 0, integrate.AdvectLimits{
+	res := s.Advect(grid.FieldEvaluator{F: tok}, start, 0, integrate.AdvectLimits{
 		Bounds:   tok.Bounds(),
 		MaxSteps: 20000,
 	})

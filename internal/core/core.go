@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/faults"
-	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/metrics"
@@ -756,10 +755,9 @@ func (w *worker) checkMemory(what string) bool {
 // charging compute time. It updates the streamline's status and block.
 // Geometry growth is tracked against the memory budget.
 //
-// This one loop serves both workloads: when the decomposition is
-// time-sliced and the provider's evaluator answers time-dependent
-// queries (grid.EvaluatorT), the integration switches to the
-// non-autonomous solver and is additionally bounded by the current
+// This one loop serves both workloads: every evaluator answers
+// EvalAt(p, t) (steady ones ignore t), and when the decomposition is
+// time-sliced the integration is additionally bounded by the current
 // block's epoch — crossing the epoch boundary moves the pathline to the
 // next space-time block exactly as leaving the spatial bounds moves a
 // streamline to a neighbor block. None of the four algorithms special-
@@ -777,15 +775,8 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 		Buf:      w.ptsBuf,
 	}
 	epoch := 0
-	var res integrate.AdvectResult
 	before := sl.MemoryBytes()
 	if d.Unsteady() {
-		tev, ok := ev.(grid.EvaluatorT)
-		if !ok {
-			w.run.fail(fmt.Errorf("core: unsteady decomposition served a time-independent evaluator for block %d", sl.Block))
-			sl.Status = trace.Failed
-			return
-		}
 		// Integrate at most to the end of this block's epoch; the data
 		// beyond it lives in a different (space-time) block.
 		epoch = d.Epoch(sl.Block)
@@ -793,10 +784,10 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 		if lim.MaxTime == 0 || horizon < lim.MaxTime {
 			lim.MaxTime = horizon
 		}
-		res = advectUnsteady(solver, tev, sl.P, sl.T, lim)
+	}
+	res := solver.Advect(ev, sl.P, sl.T, lim)
+	if d.Unsteady() {
 		w.stats.PathlineSteps += int64(res.Steps)
-	} else {
-		res = advectSteady(solver, ev, sl.P, sl.T, lim)
 	}
 	sl.Append(res.Points)
 	// Append copied the geometry into the streamline, so the scratch
@@ -848,52 +839,8 @@ func (w *worker) advance(sl *trace.Streamline, ev grid.Evaluator, bounds vec.AAB
 	}
 }
 
-// advectSteady runs steady advection devirtualized: the analytic
-// evaluator wrapper and the sampled block — the only evaluator types the
-// providers serve — are unwrapped to concrete types, so the integrator's
-// generic instantiation calls the field directly instead of through two
-// interface hops per evaluation. Unknown evaluator types fall back to
-// the interface path; every branch computes identical values.
-func advectSteady(s *integrate.DoPri5, ev grid.Evaluator, pos vec.V3, t float64, lim integrate.AdvectLimits) integrate.AdvectResult {
-	switch e := ev.(type) {
-	case grid.FieldEvaluator:
-		switch f := e.F.(type) {
-		case field.Supernova:
-			return integrate.AdvectWith(s, f, pos, t, lim)
-		case field.Tokamak:
-			return integrate.AdvectWith(s, f, pos, t, lim)
-		case field.ThermalHydraulics:
-			return integrate.AdvectWith(s, f, pos, t, lim)
-		}
-		return integrate.AdvectWith(s, e, pos, t, lim)
-	case *grid.SampledBlock:
-		return integrate.AdvectWith(s, e, pos, t, lim)
-	}
-	return s.Advect(ev, pos, t, lim)
-}
-
-// advectUnsteady is advectSteady for the non-autonomous pathline
-// integration; see there for the dispatch story.
-func advectUnsteady(s *integrate.DoPri5, ev grid.EvaluatorT, pos vec.V3, t float64, lim integrate.AdvectLimits) integrate.AdvectResult {
-	switch e := ev.(type) {
-	case grid.FieldEvaluatorT:
-		switch f := e.F.(type) {
-		case field.PulsingSupernova:
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		case field.SawtoothTokamak:
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		case field.SwitchingThermal:
-			return integrate.AdvectTWith(s, f, pos, t, lim)
-		}
-		return integrate.AdvectTWith(s, e, pos, t, lim)
-	case *grid.SampledEpoch:
-		return integrate.AdvectTWith(s, e, pos, t, lim)
-	}
-	return s.AdvectT(ev, pos, t, lim)
-}
-
 // timeEps guards float comparisons against the integration-time horizon:
-// AdvectT lands on epoch boundaries by clamping the step size, so the
+// Advect lands on epoch boundaries by clamping the step size, so the
 // final time matches the horizon only up to rounding.
 const timeEps = 1e-12
 

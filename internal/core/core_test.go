@@ -683,74 +683,3 @@ func TestUnsteadySampledProvider(t *testing.T) {
 		}
 	}
 }
-
-// rotEval hits advectSteady's outer fallback: an Evaluator that is
-// neither a FieldEvaluator nor a *SampledBlock.
-type rotEval struct{}
-
-func (rotEval) Eval(p vec.V3) vec.V3 { return vec.Of(-p.Y, p.X, 0.05) }
-
-// rotEvalT is rotEval for the unsteady fallback.
-type rotEvalT struct{}
-
-func (rotEvalT) Eval(p vec.V3) vec.V3              { return vec.Of(-p.Y, p.X, 0.05) }
-func (rotEvalT) EvalAt(p vec.V3, _ float64) vec.V3 { return vec.Of(-p.Y, p.X, 0.05) }
-
-// TestAdvectDispatchArmsMatchInterfacePath proves the devirtualizing
-// type switches are pure dispatch: for every evaluator shape — each
-// named concrete field, the generic field wrapper, the sampled block
-// and the unknown-type fallback — advectSteady/advectUnsteady must
-// reproduce the plain interface path bit for bit.
-func TestAdvectDispatchArmsMatchInterfacePath(t *testing.T) {
-	opts := integrate.Options{Tol: 1e-6, HMax: 0.01}
-	seed := vec.Of(0.31, 0.42, 0.23)
-
-	steady := map[string]grid.Evaluator{
-		"supernova": grid.FieldEvaluator{F: field.DefaultSupernova()},
-		"tokamak":   grid.FieldEvaluator{F: field.DefaultTokamak()},
-		"thermal":   grid.FieldEvaluator{F: field.DefaultThermalHydraulics()},
-		"wrapped":   grid.FieldEvaluator{F: field.DefaultABC()},
-		"fallback":  rotEval{},
-	}
-	{
-		f := field.DefaultSupernova()
-		d := grid.NewDecomposition(f.Bounds(), 2, 2, 2, 8)
-		steady["sampled"] = grid.SampleBlock(f, d, 0)
-	}
-	for name, ev := range steady {
-		lim := integrate.AdvectLimits{Bounds: vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), MaxSteps: 50}
-		sFast := integrate.NewDoPri5(opts)
-		fast := advectSteady(sFast, ev, seed, 0, lim)
-		sRef := integrate.NewDoPri5(opts)
-		ref := sRef.Advect(ev, seed, 0, lim)
-		if fast.P != ref.P || fast.Steps != ref.Steps || fast.Reason != ref.Reason {
-			t.Errorf("%s: dispatch arm diverged: %v/%d/%v vs %v/%d/%v",
-				name, fast.P, fast.Steps, fast.Reason, ref.P, ref.Steps, ref.Reason)
-		}
-	}
-
-	unsteady := map[string]grid.EvaluatorT{
-		"pulsing":   grid.FieldEvaluatorT{F: field.DefaultPulsingSupernova()},
-		"sawtooth":  grid.FieldEvaluatorT{F: field.DefaultSawtoothTokamak()},
-		"switching": grid.FieldEvaluatorT{F: field.DefaultSwitchingThermal()},
-		"fallback":  rotEvalT{},
-	}
-	{
-		f := field.DefaultPulsingSupernova()
-		d := grid.NewDecomposition(f.Bounds(), 2, 2, 2, 8)
-		d.TimeSlices = 5
-		d.T0, d.T1 = f.TimeRange()
-		unsteady["sampled"] = grid.SampledProviderT{F: f, D: d}.Block(0).(grid.EvaluatorT)
-	}
-	for name, ev := range unsteady {
-		lim := integrate.AdvectLimits{Bounds: vec.Box(vec.Of(0, 0, 0), vec.Of(1, 1, 1)), MaxSteps: 50, MaxTime: 0.5}
-		sFast := integrate.NewDoPri5(opts)
-		fast := advectUnsteady(sFast, ev, seed, 0.1, lim)
-		sRef := integrate.NewDoPri5(opts)
-		ref := sRef.AdvectT(ev, seed, 0.1, lim)
-		if fast.P != ref.P || fast.Steps != ref.Steps || fast.Reason != ref.Reason {
-			t.Errorf("%s: dispatch arm diverged: %v/%d/%v vs %v/%d/%v",
-				name, fast.P, fast.Steps, fast.Reason, ref.P, ref.Steps, ref.Reason)
-		}
-	}
-}

@@ -64,8 +64,8 @@ type keyWire struct {
 }
 
 // Validate rejects keys that do not name a real campaign cell: unknown
-// datasets, seedings, algorithms, axis spellings, or a non-positive
-// processor count. Alias spellings of the zero axes ("off", "t0") are
+// datasets, seedings, algorithms, axis spellings, or a processor count
+// outside 1..MaxProcs. Alias spellings of the zero axes ("off", "t0") are
 // valid — normalization, not validation, is their job.
 func (k Key) Validate() error {
 	if !slices.Contains(Datasets(), k.Dataset) {
@@ -79,6 +79,9 @@ func (k Key) Validate() error {
 	}
 	if k.Procs < 1 {
 		return fmt.Errorf("experiments: need at least 1 processor, got %d", k.Procs)
+	}
+	if k.Procs > MaxProcs {
+		return fmt.Errorf("experiments: at most %d processors, got %d", MaxProcs, k.Procs)
 	}
 	if err := k.Prefetch.Validate(); err != nil {
 		return err

@@ -60,7 +60,7 @@ func TestKeyAliasesShareOneDigest(t *testing.T) {
 // TestParseKeyRejects enumerates the network-input failure modes the
 // strict decoder must catch: unknown axis values (which pre-ParseKey
 // would have half-run as their nearest real axis), unknown fields,
-// version skew, trailing data, and non-positive processor counts.
+// version skew, trailing data, and processor counts outside 1..MaxProcs.
 func TestParseKeyRejects(t *testing.T) {
 	cases := []struct {
 		name, in, wantErr string
@@ -70,6 +70,7 @@ func TestParseKeyRejects(t *testing.T) {
 		{"unknown algorithm", `{"dataset":"astro","seeding":"sparse","alg":"magic","procs":8}`, "unknown algorithm"},
 		{"zero procs", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":0}`, "at least 1 processor"},
 		{"negative procs", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":-4}`, "at least 1 processor"},
+		{"too many procs", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":4097}`, "at most 4096 processors"},
 		{"bad prefetch", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"prefetch":"psychic"}`, "unknown policy"},
 		{"bad injection", `{"dataset":"astro","seeding":"sparse","alg":"hybrid","procs":8,"injection":"maybe"}`, "unknown injection"},
 		// The alias/split bug class: "zap" used to materialize the kill

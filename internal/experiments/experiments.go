@@ -451,12 +451,20 @@ func KeyMachineConfig(k Key, sc Scale) core.Config {
 	return cfg
 }
 
+// MaxProcs bounds Key.Procs for keys that arrive over the wire: eight
+// times the paper's largest run (512 processors). Every processor is a
+// simulated process with its own workers, so an unbounded count in a
+// request would let one request exhaust the host.
+const MaxProcs = 4096
+
 // Key identifies one run of the campaign.
 type Key struct {
 	Dataset Dataset
 	Seeding Seeding
 	Alg     core.Algorithm
-	Procs   int
+	// Procs is the simulated processor count, 1..MaxProcs when the key
+	// is decoded by ParseKey.
+	Procs int
 	// Unsteady selects the time-sliced (pathline) variant of the cell:
 	// the dataset's time-varying field over Scale.TimeSlices stored
 	// slices, traced by the same four algorithms.

@@ -234,9 +234,12 @@ func (d Decomposition) CellsTotal() int64 {
 	return c * c * c * int64(d.NumSpatialBlocks())
 }
 
-// Evaluator answers field queries over (at least) one block's extent.
+// Evaluator answers field queries over (at least) one block's extent:
+// the field value at position p and time t. Evaluators of steady blocks
+// ignore t. Its method set is integrate.Evaluator's, so a block
+// evaluator goes to the solver as it is.
 type Evaluator interface {
-	Eval(p vec.V3) vec.V3
+	EvalAt(p vec.V3, t float64) vec.V3
 }
 
 // Provider produces an evaluator for a block. Providers are pure factories
@@ -263,14 +266,12 @@ func (a AnalyticProvider) Block(BlockID) Evaluator { return FieldEvaluator{a.F} 
 // Decomp implements Provider.
 func (a AnalyticProvider) Decomp() Decomposition { return a.D }
 
-// FieldEvaluator adapts a field.Field to the Evaluator interface. It is
-// exported so hot loops can type-switch on it and instantiate their
-// inner integration at the concrete field type, bypassing the double
-// interface dispatch (Evaluator → Field) it otherwise implies.
+// FieldEvaluator adapts a steady field.Field to the Evaluator interface;
+// it ignores the query time.
 type FieldEvaluator struct{ F field.Field }
 
-// Eval implements Evaluator.
-func (e FieldEvaluator) Eval(p vec.V3) vec.V3 { return e.F.Eval(p) }
+// EvalAt implements Evaluator.
+func (e FieldEvaluator) EvalAt(p vec.V3, _ float64) vec.V3 { return e.F.Eval(p) }
 
 // SampledProvider materializes blocks by sampling a source field onto
 // node-centered arrays, exactly as a dataset read from disk would be, and
@@ -357,7 +358,11 @@ func (b *SampledBlock) node(i, j, k int) vec.V3 {
 	return vec.V3{X: b.data[at], Y: b.data[at+1], Z: b.data[at+2]}
 }
 
-// Eval implements Evaluator by trilinear interpolation; points outside the
+// EvalAt implements Evaluator; a sampled block holds one instant, so t
+// is ignored.
+func (b *SampledBlock) EvalAt(p vec.V3, _ float64) vec.V3 { return b.Eval(p) }
+
+// Eval answers a query by trilinear interpolation; points outside the
 // sampled extent are clamped to it.
 func (b *SampledBlock) Eval(p vec.V3) vec.V3 {
 	fx := (p.X - b.origin.X) / b.spacing.X

@@ -236,11 +236,18 @@ func TestProviders(t *testing.T) {
 	}
 	p := vec.Of(1, 2, 3)
 	id, _ := d.Locate(p)
-	if got := ap.Block(id).Eval(p); got.Dist(f.Eval(p)) > 1e-12 {
+	if got := ap.Block(id).EvalAt(p, 0); got.Dist(f.Eval(p)) > 1e-12 {
 		t.Errorf("analytic provider mismatch: %v", got)
 	}
-	if got := sp.Block(id).Eval(p); got.Dist(f.Eval(p)) > 0.5 {
+	if got := sp.Block(id).EvalAt(p, 0); got.Dist(f.Eval(p)) > 0.5 {
 		t.Errorf("sampled provider too far off: %v vs %v", got, f.Eval(p))
+	}
+	// Steady blocks ignore the query time.
+	for _, prov := range []Provider{ap, sp} {
+		ev := prov.Block(id)
+		if a, b := ev.EvalAt(p, 0), ev.EvalAt(p, 7.5); a != b {
+			t.Errorf("%T: steady block depends on t: %v vs %v", ev, a, b)
+		}
 	}
 }
 

@@ -101,17 +101,6 @@ func (d Decomposition) LocateAt(p vec.V3, t float64) (BlockID, bool) {
 	return d.SpaceTimeID(b, d.EpochOf(t)), true
 }
 
-// EvaluatorT answers time-dependent field queries over (at least) one
-// space-time block's extent. The engine's shared advance loop detects it
-// on any Evaluator a provider returns and switches to non-autonomous
-// integration, which is how all four algorithms trace pathlines through
-// one code path.
-type EvaluatorT interface {
-	Evaluator
-	// EvalAt returns the field value at position p and time t.
-	EvalAt(p vec.V3, t float64) vec.V3
-}
-
 // AnalyticProviderT serves virtual space-time blocks that evaluate a
 // time-varying analytic field directly — the unsteady counterpart of
 // AnalyticProvider. Loading a block costs simulated I/O time for both
@@ -122,27 +111,12 @@ type AnalyticProviderT struct {
 	D Decomposition // must have TimeSlices > 1
 }
 
-// Block implements Provider; the evaluator is valid at any time, so one
-// value serves every epoch of the spatial block.
-func (a AnalyticProviderT) Block(BlockID) Evaluator { return FieldEvaluatorT{a.F} }
+// Block implements Provider. A FieldT answers EvalAt itself and is
+// valid at any time, so the field serves every epoch of every block.
+func (a AnalyticProviderT) Block(BlockID) Evaluator { return a.F }
 
 // Decomp implements Provider.
 func (a AnalyticProviderT) Decomp() Decomposition { return a.D }
-
-// FieldEvaluatorT adapts a FieldT to EvaluatorT; its time-frozen Eval
-// (required by the Evaluator interface) answers at the field's T0. Like
-// FieldEvaluator it is exported so hot loops can type-switch down to
-// the concrete field type.
-type FieldEvaluatorT struct{ F field.FieldT }
-
-// Eval implements Evaluator, frozen at the field's initial time.
-func (e FieldEvaluatorT) Eval(p vec.V3) vec.V3 {
-	t0, _ := e.F.TimeRange()
-	return e.F.EvalAt(p, t0)
-}
-
-// EvalAt implements EvaluatorT.
-func (e FieldEvaluatorT) EvalAt(p vec.V3, t float64) vec.V3 { return e.F.EvalAt(p, t) }
 
 // SampledProviderT materializes space-time blocks the way a real
 // time-sliced dataset read would: the two stored slices bounding the
@@ -189,10 +163,7 @@ type SampledEpoch struct {
 	t0, t1 float64
 }
 
-// Eval implements Evaluator, frozen at the epoch's start slice.
-func (e *SampledEpoch) Eval(p vec.V3) vec.V3 { return e.lo.Eval(p) }
-
-// EvalAt implements EvaluatorT; times outside the epoch clamp to its
+// EvalAt implements Evaluator; times outside the epoch clamp to its
 // bounding slices.
 func (e *SampledEpoch) EvalAt(p vec.V3, t float64) vec.V3 {
 	if e.t1 <= e.t0 {

@@ -59,6 +59,13 @@ func TestSpaceTimeIDs(t *testing.T) {
 	if s.Spatial(5) != 5 || s.Epoch(5) != 0 || s.SpaceTimeID(5, 0) != 5 {
 		t.Error("steady space-time helpers are not the identity")
 	}
+	// NoBlock (and any negative ID) passes through Spatial and sits in
+	// epoch 0, steady or not.
+	for _, dd := range []Decomposition{d, s} {
+		if dd.Spatial(NoBlock) != NoBlock || dd.Epoch(NoBlock) != 0 || dd.Epoch(-7) != 0 {
+			t.Errorf("TimeSlices=%d: negative IDs not passed through", dd.TimeSlices)
+		}
+	}
 }
 
 func TestSliceTimeAndEpochOf(t *testing.T) {
@@ -68,6 +75,14 @@ func TestSliceTimeAndEpochOf(t *testing.T) {
 	}
 	if got := d.SliceTime(2); math.Abs(got-1) > 1e-12 {
 		t.Errorf("SliceTime(2) = %g, want 1", got)
+	}
+	// A steady decomposition has one instant: every slice is T0.
+	s := NewDecomposition(d.Domain, 2, 2, 2, 8)
+	s.T0 = 0.25
+	for _, i := range []int{0, 1, 3} {
+		if got := s.SliceTime(i); got != 0.25 {
+			t.Errorf("steady SliceTime(%d) = %g, want T0", i, got)
+		}
 	}
 	cases := []struct {
 		t    float64
@@ -156,11 +171,7 @@ func TestSampledProviderTExactOnLinearField(t *testing.T) {
 	prov := SampledProviderT{F: rampField{box: d.Domain}, D: d}
 	for _, e := range []int{0, 2, 3} {
 		id := d.SpaceTimeID(3, e)
-		ev := prov.Block(id)
-		tev, ok := ev.(EvaluatorT)
-		if !ok {
-			t.Fatal("sampled epoch is not an EvaluatorT")
-		}
+		tev := prov.Block(id)
 		t0, t1 := d.EpochBounds(id)
 		for _, tm := range []float64{t0, (t0 + t1) / 2, t1} {
 			p := d.Bounds(id).Center()
@@ -191,25 +202,18 @@ func TestAnalyticProviderTServesAllEpochs(t *testing.T) {
 	p := vec.Of(0.3, 0.2, 0.1)
 	for e := 0; e < dd.Epochs(); e++ {
 		ev := prov.Block(dd.SpaceTimeID(0, e))
-		tev, ok := ev.(EvaluatorT)
-		if !ok {
-			t.Fatal("analytic unsteady evaluator is not an EvaluatorT")
-		}
 		tm := dd.SliceTime(e)
-		if got, want := tev.EvalAt(p, tm), f.EvalAt(p, tm); got != want {
+		if got, want := ev.EvalAt(p, tm), f.EvalAt(p, tm); got != want {
 			t.Errorf("epoch %d: EvalAt = %v, want %v", e, got, want)
 		}
 	}
-	// The frozen Eval answers at the field's initial time.
-	if got, want := prov.Block(0).Eval(p), f.EvalAt(p, 0); got != want {
-		t.Errorf("frozen Eval = %v, want %v", got, want)
-	}
 }
 
-// TestProviderTDecompAndFrozenEval covers the provider plumbing the hot
-// loops bypass since the devirtualization: both unsteady providers must
-// echo their decomposition, and FieldEvaluatorT's time-frozen Eval (the
-// Evaluator-interface view of a FieldT) must answer at the field's T0.
+// TestProviderTDecompAndFrozenEval covers the unsteady provider
+// plumbing: both providers echo their decomposition, and a sampled
+// epoch answers at its bounding times exactly what a steady block
+// sampled from the field frozen at that time answers — the two slices
+// a time-sliced dataset read would load.
 func TestProviderTDecompAndFrozenEval(t *testing.T) {
 	f := field.DefaultPulsingSupernova()
 	d := unsteadyDecomp()
@@ -223,16 +227,15 @@ func TestProviderTDecompAndFrozenEval(t *testing.T) {
 		t.Errorf("SampledProviderT.Decomp lost the decomposition")
 	}
 
-	ev, ok := ap.Block(0).(FieldEvaluatorT)
-	if !ok {
-		t.Fatalf("AnalyticProviderT.Block = %T, want FieldEvaluatorT", ap.Block(0))
-	}
-	t0, _ := f.TimeRange()
-	p := vec.Of(0.3, 0.4, 0.5)
-	if got, want := ev.Eval(p), f.EvalAt(p, t0); got != want {
-		t.Errorf("frozen Eval = %v, want the field at t0: %v", got, want)
-	}
-	if got, want := ev.EvalAt(p, 0.7), f.EvalAt(p, 0.7); got != want {
-		t.Errorf("EvalAt = %v, want %v", got, want)
+	id := d.SpaceTimeID(3, 2)
+	ev := sp.Block(id)
+	t0, t1 := d.EpochBounds(id)
+	p := d.Bounds(id).Center().Add(vec.Of(0.013, -0.021, 0.007))
+	for _, tm := range []float64{t0, t1} {
+		slice := SampleBlock(frozenField{f, tm}, d, d.Spatial(id))
+		// A steady block ignores the query time.
+		if got, want := ev.EvalAt(p, tm), slice.EvalAt(p, tm+3); got != want {
+			t.Errorf("t=%g: sampled epoch %v, want frozen slice %v", tm, got, want)
+		}
 	}
 }

@@ -10,9 +10,12 @@ import (
 // TestAdvectAllocFreeWithBuffer is the allocation regression gate for the
 // advect inner loop: with a caller-supplied geometry buffer (the way
 // core's workers call it), a steady-state advection must not allocate at
-// all — every step runs on the stack plus the reused buffer.
+// all — every step runs on the stack plus the reused buffer. The field
+// is converted to an Evaluator once, outside the measured loop, as core
+// holds its block evaluators.
 func TestAdvectAllocFreeWithBuffer(t *testing.T) {
 	f := field.DefaultThermalHydraulics()
+	ev := steady(f)
 	s := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
 	lim := AdvectLimits{Bounds: f.Bounds(), MaxSteps: 64}
 	var buf []vec.V3
@@ -20,7 +23,7 @@ func TestAdvectAllocFreeWithBuffer(t *testing.T) {
 	run := func() {
 		s.H = 0
 		lim.Buf = buf
-		res := AdvectWith(s, f, seed, 0, lim)
+		res := s.Advect(ev, seed, 0, lim)
 		if res.Steps == 0 {
 			t.Fatal("advection made no progress")
 		}
@@ -28,24 +31,23 @@ func TestAdvectAllocFreeWithBuffer(t *testing.T) {
 	}
 	run() // size the buffer once
 	if n := testing.AllocsPerRun(50, run); n > 0 {
-		t.Errorf("AdvectWith allocates %.2f times per call with a reused buffer, want 0", n)
+		t.Errorf("Advect allocates %.2f times per call with a reused buffer, want 0", n)
 	}
 }
 
 // TestStepAllocFree gates the single-step entry point the same way: one
-// adaptive step through the interface-free generic instantiation must
-// not allocate.
+// adaptive step must not allocate.
 func TestStepAllocFree(t *testing.T) {
-	f := field.DefaultSupernova()
+	ev := steady(field.DefaultSupernova())
 	s := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
 	p := vec.Of(0.3, 0.1, 0.05)
 	run := func() {
-		if _, err := StepWith(s, f, p, 0); err != nil {
+		if _, err := s.Step(ev, p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run()
 	if n := testing.AllocsPerRun(50, run); n > 0 {
-		t.Errorf("StepWith allocates %.2f times per call, want 0", n)
+		t.Errorf("Step allocates %.2f times per call, want 0", n)
 	}
 }

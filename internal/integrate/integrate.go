@@ -1,21 +1,23 @@
-// Package integrate provides the numerical ODE solvers used to trace
-// streamlines: dx/dt = v(x).
+// Package integrate provides the numerical ODE solver used to trace
+// streamlines and pathlines: dx/dt = v(x, t).
 //
 // The paper (Section 2.1) integrates with "a scheme of Runge-Kutta type
 // with adaptive stepsize control as proposed by Dormand and Prince"; this
 // package implements that Dormand–Prince 5(4) embedded pair with a
-// standard PI step-size controller, plus fixed-step RK4 and Euler
-// baselines used by convergence tests.
+// standard PI step-size controller. There is one stepper for both
+// workloads: every evaluator answers EvalAt(p, t), the stages are
+// evaluated at their proper times t + c_i·h, and a steady field simply
+// ignores t. Because the time arithmetic never feeds back into the
+// position update, a steady field traces bit-for-bit the geometry an
+// autonomous solver would.
 //
 // The hot loop is written for the simulated campaigns, where field
 // evaluation dominates the run time (DESIGN.md §12): the stages are
-// unrolled against the tableau constants, the step core is generic over
-// the evaluator so callers can instantiate it at a concrete field type
-// (no interface dispatch), and the first-same-as-last (FSAL) property of
-// the Dormand–Prince pair is exploited to evaluate the field six — not
-// eight — times per accepted step. Every reuse returns bit-for-bit the
-// value the old code recomputed, so the golden geometry digests cannot
-// move.
+// unrolled against the tableau constants, and the first-same-as-last
+// (FSAL) property of the Dormand–Prince pair is exploited to evaluate
+// the field six — not eight — times per accepted step. Every reuse
+// returns bit-for-bit the value the old code recomputed, so the golden
+// geometry digests cannot move.
 package integrate
 
 import (
@@ -25,16 +27,17 @@ import (
 	"repro/internal/vec"
 )
 
-// Evaluator is the right-hand side of the ODE: a vector field query.
+// Evaluator is the right-hand side of the ODE: the field value at
+// position p and time t. Steady fields ignore t.
 type Evaluator interface {
-	Eval(p vec.V3) vec.V3
+	EvalAt(p vec.V3, t float64) vec.V3
 }
 
 // EvalFunc adapts a plain function to the Evaluator interface.
-type EvalFunc func(p vec.V3) vec.V3
+type EvalFunc func(p vec.V3, t float64) vec.V3
 
-// Eval implements Evaluator.
-func (f EvalFunc) Eval(p vec.V3) vec.V3 { return f(p) }
+// EvalAt implements Evaluator.
+func (f EvalFunc) EvalAt(p vec.V3, t float64) vec.V3 { return f(p, t) }
 
 // Options controls adaptive integration.
 type Options struct {
@@ -173,14 +176,7 @@ type StepResult struct {
 // Step advances one accepted adaptive step from (p, t), updating the
 // internal step size. It returns ErrNonFinite if the field misbehaves.
 func (s *DoPri5) Step(f Evaluator, p vec.V3, t float64) (StepResult, error) {
-	return StepWith(s, f, p, t)
-}
-
-// StepWith is Step generic over the evaluator type, so hot loops can
-// instantiate it at a concrete field type and skip interface dispatch.
-// The arithmetic is identical to Step for every instantiation.
-func StepWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
-	k0 := f.Eval(p)
+	k0 := f.EvalAt(p, t)
 	if !k0.IsFinite() {
 		return StepResult{Evals: 1}, ErrNonFinite
 	}
@@ -192,7 +188,7 @@ func StepWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, err
 	return res, err
 }
 
-// stepFrom is the adaptive-step core: it takes k0 = f.Eval(p) from the
+// stepFrom is the adaptive-step core: it takes k0 = f.EvalAt(p, t) from the
 // caller (not counted in its Evals) so the value can be shared with the
 // caller's speed check and, via the FSAL property, with the previous
 // accepted step's final stage. k0 does not depend on the trial step
@@ -202,44 +198,45 @@ func StepWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, err
 // 5th-order weight sequence, so it IS the accepted position p5
 // bit-for-bit; stepFrom therefore computes p5 once, evaluates the final
 // stage there, and on acceptance returns that value as k6 (with
-// fsal=true) — bit-identical to what the next step's k0 would be.
-func stepFrom[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res StepResult, k6 vec.V3, fsal bool, err error) {
+// fsal=true) — bit-identical to what the next step's k0 would be. The
+// final stage is taken at (p5, t+h), exactly where that k0 would be.
+func stepFrom(s *DoPri5, f Evaluator, p vec.V3, t float64, k0 vec.V3) (res StepResult, k6 vec.V3, fsal bool, err error) {
 	o := s.Opts
 	evals := 0
 	for try := 0; try < 64; try++ {
 		h := s.H
 		q := p.Add(k0.Scale(h * cA10))
-		k1 := f.Eval(q)
+		k1 := f.EvalAt(q, t+cC1*h)
 		evals++
 		if !k1.IsFinite() {
 			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA20)).Add(k1.Scale(h * cA21))
-		k2 := f.Eval(q)
+		k2 := f.EvalAt(q, t+cC2*h)
 		evals++
 		if !k2.IsFinite() {
 			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA30)).Add(k1.Scale(h * cA31)).Add(k2.Scale(h * cA32))
-		k3 := f.Eval(q)
+		k3 := f.EvalAt(q, t+cC3*h)
 		evals++
 		if !k3.IsFinite() {
 			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA40)).Add(k1.Scale(h * cA41)).Add(k2.Scale(h * cA42)).Add(k3.Scale(h * cA43))
-		k4 := f.Eval(q)
+		k4 := f.EvalAt(q, t+cC4*h)
 		evals++
 		if !k4.IsFinite() {
 			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
 		}
 		q = p.Add(k0.Scale(h * cA50)).Add(k1.Scale(h * cA51)).Add(k2.Scale(h * cA52)).Add(k3.Scale(h * cA53)).Add(k4.Scale(h * cA54))
-		k5 := f.Eval(q)
+		k5 := f.EvalAt(q, t+h)
 		evals++
 		if !k5.IsFinite() {
 			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
 		}
 		p5 := p.Add(k0.Scale(h * cA60)).Add(k2.Scale(h * cA62)).Add(k3.Scale(h * cA63)).Add(k4.Scale(h * cA64)).Add(k5.Scale(h * cA65))
-		k6v := f.Eval(p5)
+		k6v := f.EvalAt(p5, t+h)
 		evals++
 		if !k6v.IsFinite() {
 			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
@@ -341,23 +338,17 @@ type AdvectResult struct {
 }
 
 // Advect integrates from (p, t) until a limit is reached, collecting the
-// intermediate geometry. The caller owns domain semantics: typically
-// Bounds is the current block's box, so StopOutOfBlock signals a block
-// transition.
+// intermediate geometry; MaxTime is the absolute time horizon. The
+// caller owns domain semantics: typically Bounds is the current block's
+// box, so StopOutOfBlock signals a block transition.
+//
+// The per-iteration speed check doubles as the step's first stage, and
+// after an accepted step the FSAL value is carried into the next
+// iteration, for six field evaluations per accepted step in cruise. All
+// reused values are bit-identical to the ones previously recomputed.
 func (s *DoPri5) Advect(f Evaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	return AdvectWith(s, f, p, t, lim)
-}
-
-// AdvectWith is Advect generic over the evaluator type: instantiated at
-// a concrete field type it runs the whole inner loop without interface
-// dispatch. The per-iteration speed check doubles as the step's first
-// stage, and after an accepted step the FSAL value is carried into the
-// next iteration, for six field evaluations per accepted step in steady
-// state. All reused values are bit-identical to the ones previously
-// recomputed.
-func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
 	res := AdvectResult{P: p, T: t, Points: lim.Buf[:0]}
-	var v vec.V3 // field at res.P: fresh, or the last step's FSAL stage
+	var v vec.V3 // field at (res.P, res.T): fresh, or the FSAL carry
 	haveV := false
 	for {
 		if lim.MaxSteps > 0 && res.Steps >= lim.MaxSteps {
@@ -369,7 +360,7 @@ func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimi
 			return res
 		}
 		if !haveV {
-			v = f.Eval(res.P)
+			v = f.EvalAt(res.P, res.T)
 			res.Evals++ // the speed check below
 		}
 		haveV = false
@@ -411,185 +402,4 @@ func AdvectWith[E Evaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimi
 		}
 		v, haveV = k6, fsal
 	}
-}
-
-// TimeEvaluator is the right-hand side of the non-autonomous ODE
-// dx/dt = v(x, t) used for pathlines in time-varying fields (the paper's
-// Section 8 extension).
-type TimeEvaluator interface {
-	EvalAt(p vec.V3, t float64) vec.V3
-}
-
-// TimeEvalFunc adapts a function to TimeEvaluator.
-type TimeEvalFunc func(p vec.V3, t float64) vec.V3
-
-// EvalAt implements TimeEvaluator.
-func (f TimeEvalFunc) EvalAt(p vec.V3, t float64) vec.V3 { return f(p, t) }
-
-// StepT advances one accepted adaptive step of the non-autonomous system,
-// evaluating the field at the proper stage times t + c_i·h.
-func (s *DoPri5) StepT(f TimeEvaluator, p vec.V3, t float64) (StepResult, error) {
-	return StepTWith(s, f, p, t)
-}
-
-// StepTWith is StepT generic over the evaluator type; see StepWith.
-func StepTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64) (StepResult, error) {
-	k0 := f.EvalAt(p, t)
-	if !k0.IsFinite() {
-		return StepResult{Evals: 1}, ErrNonFinite
-	}
-	if s.H == 0 {
-		s.H = s.initialStepFrom(k0)
-	}
-	res, _, _, err := stepFromT(s, f, p, t, k0)
-	res.Evals++ // k0 above
-	return res, err
-}
-
-// stepFromT is stepFrom for the non-autonomous system. The final stage
-// is evaluated at (p5, t+h) — exactly where the next step's k0 would be
-// taken — so the FSAL reuse carries over unchanged.
-func stepFromT[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, k0 vec.V3) (res StepResult, k6 vec.V3, fsal bool, err error) {
-	o := s.Opts
-	evals := 0
-	for try := 0; try < 64; try++ {
-		h := s.H
-		q := p.Add(k0.Scale(h * cA10))
-		k1 := f.EvalAt(q, t+cC1*h)
-		evals++
-		if !k1.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA20)).Add(k1.Scale(h * cA21))
-		k2 := f.EvalAt(q, t+cC2*h)
-		evals++
-		if !k2.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA30)).Add(k1.Scale(h * cA31)).Add(k2.Scale(h * cA32))
-		k3 := f.EvalAt(q, t+cC3*h)
-		evals++
-		if !k3.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA40)).Add(k1.Scale(h * cA41)).Add(k2.Scale(h * cA42)).Add(k3.Scale(h * cA43))
-		k4 := f.EvalAt(q, t+cC4*h)
-		evals++
-		if !k4.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
-		}
-		q = p.Add(k0.Scale(h * cA50)).Add(k1.Scale(h * cA51)).Add(k2.Scale(h * cA52)).Add(k3.Scale(h * cA53)).Add(k4.Scale(h * cA54))
-		k5 := f.EvalAt(q, t+h)
-		evals++
-		if !k5.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
-		}
-		p5 := p.Add(k0.Scale(h * cA60)).Add(k2.Scale(h * cA62)).Add(k3.Scale(h * cA63)).Add(k4.Scale(h * cA64)).Add(k5.Scale(h * cA65))
-		k6v := f.EvalAt(p5, t+h)
-		evals++
-		if !k6v.IsFinite() {
-			return StepResult{Evals: evals}, vec.V3{}, false, ErrNonFinite
-		}
-		p4 := p.Add(k0.Scale(h * cB40)).Add(k2.Scale(h * cB42)).Add(k3.Scale(h * cB43)).Add(k4.Scale(h * cB44)).Add(k5.Scale(h * cB45)).Add(k6v.Scale(h * cB46))
-		errEst := p5.Dist(p4)
-		if errEst <= o.Tol || h <= o.HMin {
-			s.H = nextStep(h, errEst, o)
-			return StepResult{P: p5, T: t + h, Evals: evals, Accepted: true}, k6v, true, nil
-		}
-		s.H = nextStep(h, errEst, o)
-		if s.H >= h {
-			s.H = h / 2
-		}
-		if s.H < o.HMin {
-			s.H = o.HMin
-		}
-	}
-	s.H = o.HMin
-	return StepResult{P: p.Add(k0.Scale(s.H)), T: t + s.H, Evals: evals, Accepted: true}, vec.V3{}, false, nil
-}
-
-// AdvectT integrates the non-autonomous system from (p, t) under the same
-// limits as Advect; MaxTime is the absolute time horizon.
-func (s *DoPri5) AdvectT(f TimeEvaluator, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	return AdvectTWith(s, f, p, t, lim)
-}
-
-// AdvectTWith is AdvectT generic over the evaluator type; see AdvectWith
-// for the dispatch and evaluation-reuse story, which carries over to the
-// non-autonomous system unchanged.
-func AdvectTWith[E TimeEvaluator](s *DoPri5, f E, p vec.V3, t float64, lim AdvectLimits) AdvectResult {
-	res := AdvectResult{P: p, T: t, Points: lim.Buf[:0]}
-	var v vec.V3 // field at (res.P, res.T): fresh, or the FSAL carry
-	haveV := false
-	for {
-		if lim.MaxSteps > 0 && res.Steps >= lim.MaxSteps {
-			res.Reason = StopMaxSteps
-			return res
-		}
-		if lim.MaxTime > 0 && res.T >= lim.MaxTime {
-			res.Reason = StopMaxTime
-			return res
-		}
-		if !haveV {
-			v = f.EvalAt(res.P, res.T)
-			res.Evals++
-		}
-		haveV = false
-		if v.Norm() < s.Opts.MinSpeed {
-			res.Reason = StopCritical
-			return res
-		}
-		if !v.IsFinite() {
-			res.Reason = StopError
-			return res
-		}
-		if s.H == 0 {
-			// Same first-step horizon clamp as Advect.
-			s.H = s.initialStepFrom(v)
-		}
-		if lim.MaxTime > 0 {
-			if remain := lim.MaxTime - res.T; s.H > remain {
-				s.H = remain
-			}
-		}
-		step, k6, fsal, err := stepFromT(s, f, res.P, res.T, v)
-		res.Evals += step.Evals
-		if err != nil {
-			res.Reason = StopError
-			return res
-		}
-		res.P = step.P
-		res.T = step.T
-		res.Steps++
-		res.Points = append(res.Points, step.P)
-		if !lim.Bounds.Contains(res.P) {
-			res.Reason = StopOutOfBlock
-			return res
-		}
-		v, haveV = k6, fsal
-	}
-}
-
-// RK4 is a classical fixed-step fourth-order Runge–Kutta integrator, used
-// as a baseline in convergence tests.
-type RK4 struct{ H float64 }
-
-// Step advances one fixed step.
-func (r RK4) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
-	h := r.H
-	k1 := f.Eval(p)
-	k2 := f.Eval(p.Add(k1.Scale(h / 2)))
-	k3 := f.Eval(p.Add(k2.Scale(h / 2)))
-	k4 := f.Eval(p.Add(k3.Scale(h)))
-	inc := k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4).Scale(h / 6)
-	return p.Add(inc), t + h
-}
-
-// Euler is the first-order explicit Euler integrator, used as a baseline
-// in convergence tests.
-type Euler struct{ H float64 }
-
-// Step advances one fixed step.
-func (e Euler) Step(f Evaluator, p vec.V3, t float64) (vec.V3, float64) {
-	return p.Add(f.Eval(p).Scale(e.H)), t + e.H
 }

@@ -11,9 +11,14 @@ import (
 
 var bigBox = vec.Box(vec.Of(-100, -100, -100), vec.Of(100, 100, 100))
 
+// steady adapts a steady field to Evaluator; the query time is ignored.
+func steady(f field.Field) Evaluator {
+	return EvalFunc(func(p vec.V3, _ float64) vec.V3 { return f.Eval(p) })
+}
+
 // advectFor integrates until time T with no spatial bound.
-func advectFor(s *DoPri5, f Evaluator, p0 vec.V3, T float64) AdvectResult {
-	return s.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxTime: T})
+func advectFor(s *DoPri5, f field.Field, p0 vec.V3, T float64) AdvectResult {
+	return s.Advect(steady(f), p0, 0, AdvectLimits{Bounds: bigBox, MaxTime: T})
 }
 
 func TestDoPri5UniformFieldExact(t *testing.T) {
@@ -95,7 +100,7 @@ func TestDoPri5StopOutOfBlock(t *testing.T) {
 	f := field.Uniform{V: vec.Of(1, 0, 0), Box: bigBox}
 	s := NewDoPri5(Options{HMax: 0.01})
 	blk := vec.Box(vec.Of(0, 0, 0), vec.Of(0.5, 1, 1))
-	res := s.Advect(f, vec.Of(0.1, 0.5, 0.5), 0, AdvectLimits{Bounds: blk})
+	res := s.Advect(steady(f), vec.Of(0.1, 0.5, 0.5), 0, AdvectLimits{Bounds: blk})
 	if res.Reason != StopOutOfBlock {
 		t.Fatalf("Reason = %v", res.Reason)
 	}
@@ -110,7 +115,7 @@ func TestDoPri5StopOutOfBlock(t *testing.T) {
 func TestDoPri5StopMaxSteps(t *testing.T) {
 	f := field.Rotation{Omega: 1, Box: bigBox}
 	s := NewDoPri5(Options{})
-	res := s.Advect(f, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 7})
+	res := s.Advect(steady(f), vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 7})
 	if res.Reason != StopMaxSteps || res.Steps != 7 {
 		t.Errorf("Reason=%v Steps=%d", res.Reason, res.Steps)
 	}
@@ -124,7 +129,7 @@ func TestDoPri5StopCritical(t *testing.T) {
 	// y axis decays toward zero speed.
 	f := field.Saddle{Box: bigBox}
 	s := NewDoPri5(Options{MinSpeed: 1e-4, HMax: 0.5})
-	res := s.Advect(f, vec.Of(0, 1, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 100000})
+	res := s.Advect(steady(f), vec.Of(0, 1, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 100000})
 	if res.Reason != StopCritical {
 		t.Fatalf("Reason = %v (P=%v)", res.Reason, res.P)
 	}
@@ -134,7 +139,7 @@ func TestDoPri5StopCritical(t *testing.T) {
 }
 
 func TestDoPri5NonFiniteField(t *testing.T) {
-	evil := EvalFunc(func(p vec.V3) vec.V3 {
+	evil := EvalFunc(func(p vec.V3, _ float64) vec.V3 {
 		if p.X > 0.5 {
 			return vec.Of(math.NaN(), 0, 0)
 		}
@@ -155,13 +160,13 @@ func TestDoPri5ResumeMatchesContinuous(t *testing.T) {
 	p0 := vec.Of(1, 1, 1)
 
 	whole := NewDoPri5(Options{Tol: 1e-7})
-	resWhole := whole.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 200})
+	resWhole := whole.Advect(steady(f), p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 200})
 
 	s1 := NewDoPri5(Options{Tol: 1e-7})
-	r1 := s1.Advect(f, p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 120})
+	r1 := s1.Advect(steady(f), p0, 0, AdvectLimits{Bounds: bigBox, MaxSteps: 120})
 	s2 := NewDoPri5(Options{Tol: 1e-7})
 	s2.H = s1.H // hand the solver state over
-	r2 := s2.Advect(f, r1.P, r1.T, AdvectLimits{Bounds: bigBox, MaxSteps: 80})
+	r2 := s2.Advect(steady(f), r1.P, r1.T, AdvectLimits{Bounds: bigBox, MaxSteps: 80})
 
 	if d := r2.P.Dist(resWhole.P); d > 1e-12 {
 		t.Errorf("resumed trajectory diverged by %g", d)
@@ -174,7 +179,7 @@ func TestDoPri5ResumeMatchesContinuous(t *testing.T) {
 func TestDoPri5GeometryContinuity(t *testing.T) {
 	f := field.DefaultABC()
 	s := NewDoPri5(Options{Tol: 1e-6})
-	res := s.Advect(f, vec.Of(2, 2, 2), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 300})
+	res := s.Advect(steady(f), vec.Of(2, 2, 2), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 300})
 	prev := vec.Of(2, 2, 2)
 	for i, p := range res.Points {
 		if step := p.Dist(prev); step > 1.0 {
@@ -184,24 +189,13 @@ func TestDoPri5GeometryContinuity(t *testing.T) {
 	}
 }
 
-func TestRK4FourthOrderConvergence(t *testing.T) {
-	f := field.Rotation{Omega: 1, Box: bigBox}
-	p0 := vec.Of(1, 0, 0)
-	T := 1.0
-	errAt := func(h float64) float64 {
-		r := RK4{H: h}
-		p, tm := p0, 0.0
-		for tm < T-h/2 {
-			p, tm = r.Step(f, p, tm)
-		}
-		return p.Dist(f.Exact(p0, tm))
-	}
-	e1 := errAt(0.1)
-	e2 := errAt(0.05)
-	order := math.Log2(e1 / e2)
-	if order < 3.5 || order > 4.5 {
-		t.Errorf("RK4 observed order %g (errors %g, %g)", order, e1, e2)
-	}
+// euler is the first-order explicit Euler integrator, the fixed-step
+// baseline the adaptive solver is compared against.
+type euler struct{ H float64 }
+
+// Step advances one fixed step.
+func (e euler) Step(f field.Field, p vec.V3, t float64) (vec.V3, float64) {
+	return p.Add(f.Eval(p).Scale(e.H)), t + e.H
 }
 
 func TestEulerFirstOrderConvergence(t *testing.T) {
@@ -209,7 +203,7 @@ func TestEulerFirstOrderConvergence(t *testing.T) {
 	p0 := vec.Of(1, 0, 0)
 	T := 1.0
 	errAt := func(h float64) float64 {
-		e := Euler{H: h}
+		e := euler{H: h}
 		p, tm := p0, 0.0
 		for tm < T-h/2 {
 			p, tm = e.Step(f, p, tm)
@@ -232,7 +226,7 @@ func TestDoPri5BeatsEulerAtEqualWork(t *testing.T) {
 	dpErr := res.P.Dist(f.Exact(p0, res.T))
 	// Give Euler the same number of field evaluations.
 	h := math.Pi / float64(res.Evals)
-	e := Euler{H: h}
+	e := euler{H: h}
 	p, tm := p0, 0.0
 	for tm < math.Pi-h/2 {
 		p, tm = e.Step(f, p, tm)
@@ -284,24 +278,25 @@ func TestPropEnergyConservationOnRotation(t *testing.T) {
 	}
 }
 
-// TestAdvectTMatchesAdvectOnAutonomousField pins the non-autonomous
-// entry points against the autonomous ones: wrapping a steady field as a
-// TimeEvaluator that ignores t must reproduce Advect's geometry exactly,
-// step for step, through both the interface entry (AdvectT) and the
-// generic one (AdvectTWith).
+// TestAdvectTMatchesAdvectOnAutonomousField pins the steady special
+// case of the one stepper: the stage times t + c_i·h reach only the
+// evaluator, never the position update, so a field that ignores t walks
+// the same geometry bit for bit whatever time the trace starts at.
 func TestAdvectTMatchesAdvectOnAutonomousField(t *testing.T) {
-	f := field.DefaultSupernova()
-	lim := AdvectLimits{Bounds: f.Bounds(), MaxSteps: 200}
+	sn := field.DefaultSupernova()
+	f := steady(sn)
+	lim := AdvectLimits{Bounds: sn.Bounds(), MaxSteps: 200}
 	seed := vec.Of(0.3, 0.1, 0.05)
 
 	sA := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
 	rA := sA.Advect(f, seed, 0, lim)
 
+	const t0 = 12.5
 	sT := NewDoPri5(Options{Tol: 1e-6, HMax: 0.01})
-	rT := sT.AdvectT(TimeEvalFunc(func(p vec.V3, _ float64) vec.V3 { return f.Eval(p) }), seed, 0, lim)
+	rT := sT.Advect(f, seed, t0, lim)
 
-	if rA.P != rT.P || rA.Steps != rT.Steps || rA.Reason != rT.Reason {
-		t.Errorf("AdvectT diverged from Advect: %v/%d/%v vs %v/%d/%v",
+	if rA.P != rT.P || rA.Steps != rT.Steps || rA.Reason != rT.Reason || sA.H != sT.H {
+		t.Errorf("start time moved the trace: %v/%d/%v vs %v/%d/%v",
 			rT.P, rT.Steps, rT.Reason, rA.P, rA.Steps, rA.Reason)
 	}
 	if len(rA.Points) != len(rT.Points) {
@@ -312,56 +307,74 @@ func TestAdvectTMatchesAdvectOnAutonomousField(t *testing.T) {
 			t.Fatalf("geometry diverged at point %d: %v vs %v", i, rT.Points[i], rA.Points[i])
 		}
 	}
+	if math.Abs((rT.T-t0)-rA.T) > 1e-9 {
+		t.Errorf("elapsed time %g, want %g", rT.T-t0, rA.T)
+	}
 }
 
-// TestAdvectTStopsOnLimits covers the non-autonomous loop's stop
-// conditions: the absolute MaxTime horizon (with the final step clamped
-// to land exactly on it) and the out-of-bounds exit.
+// TestAdvectStageTimes checks that the stages sample the
+// right times: dx/dt = (t+0.5, 0, 0) has the exact solution
+// x(T) = T²/2 + T/2, which a solver frozen at the step's start time
+// would miss.
+func TestAdvectStageTimes(t *testing.T) {
+	rhs := EvalFunc(func(_ vec.V3, t float64) vec.V3 { return vec.Of(t+0.5, 0, 0) })
+	s := NewDoPri5(Options{Tol: 1e-9, HMax: 0.1})
+	res := s.Advect(rhs, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 2})
+	if want := 3.0; math.Abs(res.P.X-want) > 1e-7 {
+		t.Errorf("x(2) = %g, want %g", res.P.X, want)
+	}
+	if res.T != 2 {
+		t.Errorf("landed at t=%g, want exactly 2", res.T)
+	}
+}
+
+// TestAdvectTStopsOnLimits covers the stop conditions of a time-
+// dependent trace: the absolute MaxTime horizon (with the final step
+// clamped to land exactly on it) and the out-of-bounds exit.
 func TestAdvectTStopsOnLimits(t *testing.T) {
-	uniform := TimeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1, 0, 0) })
+	uniform := EvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
-	res := s.AdvectT(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 1})
+	res := s.Advect(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxTime: 1})
 	if res.Reason != StopMaxTime || res.T != 1 {
 		t.Errorf("reason %v at t=%g, want StopMaxTime at exactly 1", res.Reason, res.T)
 	}
 
 	s = NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
 	tiny := vec.Box(vec.Of(-1, -1, -1), vec.Of(0.05, 1, 1))
-	res = s.AdvectT(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: tiny, MaxSteps: 100})
+	res = s.Advect(uniform, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: tiny, MaxSteps: 100})
 	if res.Reason != StopOutOfBlock {
 		t.Errorf("reason %v, want StopOutOfBlock", res.Reason)
 	}
 }
 
-// TestAdvectTNonFiniteField covers the non-autonomous error exits: a
-// field that goes NaN mid-trajectory must stop with StopError both at
-// the first sample and inside a step.
+// TestAdvectTNonFiniteField covers the error exits: a field that goes
+// NaN mid-trajectory must stop with StopError both at the first sample
+// and inside a step.
 func TestAdvectTNonFiniteField(t *testing.T) {
-	evil := TimeEvalFunc(func(p vec.V3, _ float64) vec.V3 {
+	evil := EvalFunc(func(p vec.V3, _ float64) vec.V3 {
 		if p.X > 0.5 {
 			return vec.Of(math.NaN(), 0, 0)
 		}
 		return vec.Of(1, 0, 0)
 	})
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
-	res := s.AdvectT(evil, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 1000})
+	res := s.Advect(evil, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 1000})
 	if res.Reason != StopError {
 		t.Errorf("reason %v, want StopError", res.Reason)
 	}
 
 	s = NewDoPri5(Options{Tol: 1e-8, HMax: 0.1})
-	res = s.AdvectT(evil, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
+	res = s.Advect(evil, vec.Of(1, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
 	if res.Reason != StopError || res.Steps != 0 {
 		t.Errorf("NaN seed: reason %v after %d steps, want immediate StopError", res.Reason, res.Steps)
 	}
 }
 
-// TestAdvectTMinSpeed covers the critical-point exit of the
-// non-autonomous loop.
+// TestAdvectTMinSpeed covers the critical-point exit.
 func TestAdvectTMinSpeed(t *testing.T) {
-	still := TimeEvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1e-15, 0, 0) })
+	still := EvalFunc(func(vec.V3, float64) vec.V3 { return vec.Of(1e-15, 0, 0) })
 	s := NewDoPri5(Options{Tol: 1e-8, HMax: 0.1, MinSpeed: 1e-9})
-	res := s.AdvectT(still, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
+	res := s.Advect(still, vec.Of(0, 0, 0), 0, AdvectLimits{Bounds: bigBox, MaxSteps: 10})
 	if res.Reason != StopCritical {
 		t.Errorf("reason %v, want StopCritical", res.Reason)
 	}

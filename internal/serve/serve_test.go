@@ -275,7 +275,13 @@ func TestBatchAliasSpellingsCollapse(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	s := newTestServer(t, nil)
+	var computes atomic.Int64
+	s := newTestServer(t, func(c *Config) {
+		c.Tune = func(*core.Config) { computes.Add(1) }
+	})
+	// One processor past the bound on network keys; refused before any
+	// simulated process is built.
+	overProcs := fmt.Sprintf(`{"dataset":"astro","seeding":"sparse","alg":"ondemand","procs":%d}`, experiments.MaxProcs+1)
 	cases := []struct {
 		name   string
 		method string
@@ -293,6 +299,8 @@ func TestRequestValidation(t *testing.T) {
 		{"batch no cells", http.MethodPost, "/v1/cells", `{"cells":[]}`, http.StatusBadRequest},
 		{"batch bad envelope", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `],"mode":"fast"}`, http.StatusBadRequest},
 		{"batch bad cell", http.MethodPost, "/v1/cells", `{"cells":[{"dataset":"astro"}]}`, http.StatusBadRequest},
+		{"too many procs", http.MethodPost, "/v1/cell", overProcs, http.StatusBadRequest},
+		{"batch too many procs", http.MethodPost, "/v1/cells", `{"cells":[` + cellBody + `,` + overProcs + `]}`, http.StatusBadRequest},
 		{"health ok", http.MethodGet, "/healthz", "", http.StatusOK},
 		{"health method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed},
 	}
@@ -309,6 +317,9 @@ func TestRequestValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+	if got := computes.Load(); got != 0 {
+		t.Fatalf("rejected requests ran %d simulations, want 0", got)
 	}
 }
 

@@ -234,8 +234,8 @@ func TestCacheEvaluatorWorks(t *testing.T) {
 	runInProc(t, func(p *sim.Proc) {
 		c := NewCache(p, prov, DefaultDisk(), 4, stats.P(0))
 		ev := c.Get(0)
-		if got := ev.Eval(vec.Of(0.1, 0.1, 0.1)); got != vec.Of(1, 0, 0) {
-			t.Errorf("Eval through cache = %v", got)
+		if got := ev.EvalAt(vec.Of(0.1, 0.1, 0.1), 0); got != vec.Of(1, 0, 0) {
+			t.Errorf("EvalAt through cache = %v", got)
 		}
 	})
 }
